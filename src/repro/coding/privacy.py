@@ -39,7 +39,6 @@ Construction summary (see DESIGN.md §4 for the argument):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -62,6 +61,7 @@ __all__ = [
     "plan_y_allocation",
     "build_phase2_matrices",
     "solve_transport_counts",
+    "TransportNetwork",
     "MAX_BLOCK_POINTS",
     "MAX_PHASE2_ROWS",
 ]
@@ -549,116 +549,145 @@ def plan_y_allocation(
     return YAllocation(blocks=blocks, receivers=receivers)
 
 
-def solve_transport_counts(
-    demands: Sequence[int],
-    capacities: Sequence[int],
-    allowed: Sequence[Sequence[bool]],
-) -> np.ndarray:
+class TransportNetwork:
     """Integral transportation max-flow on counts (no ids involved).
 
     Bipartite flow: demand node ``j`` wants up to ``demands[j]`` units,
     supply node ``k`` holds ``capacities[k]`` units, and an edge exists
-    where ``allowed[j][k]`` is true.  Returns the ``(J, K)`` integer
-    flow matrix of a maximum flow.
+    where ``allowed[j][k]`` is true.  The Dinic graph depends on
+    ``allowed`` alone, so it is built once here; :meth:`solve` then
+    runs any number of ``(demands, capacities)`` instances on it, each
+    from fresh capacities, and returns the ``(J, K)`` integer flow
+    matrix of a maximum flow.
 
     This is the shared max-flow core of the protocol's support
     assignment: :func:`_assign_ids_by_flow` routes concrete x-ids
     through it for the per-packet session, and the batched engine's
     per-round realised planner
-    (:func:`repro.theory.allocation.realised_support_flow`) runs it
-    directly on reception-pattern histograms — thousands of times per
-    campaign, which is why this is a dependency-free Dinic rather than
-    a general graph library call (the realised planner's solve count
-    made ``networkx`` graph construction the dominant campaign cost).
+    (:func:`repro.theory.allocation.realised_support_flow`) solves one
+    graph several times per infeasible round while it searches for the
+    demand scale, skipping the probes its first flow already settles.
+    It is a dependency-free Dinic because that planner runs once per
+    simulated round.
 
     Determinism matters as much as speed: node and edge order are
     fixed by the input order alone (no hashing of arbitrary keys), so
     the same inputs always yield the same — not merely equally optimal
     — flow matrix, keeping campaigns reproducible across processes.
     """
-    n_demands = len(demands)
-    n_supplies = len(capacities)
-    out = np.zeros((n_demands, n_supplies), dtype=np.int64)
-    if n_demands == 0 or n_supplies == 0:
-        return out
 
-    # Dinic on the 4-layer graph: source 0, demand nodes 1..J,
-    # supply nodes J+1..J+K, sink J+K+1.  Edges are stored as parallel
-    # arrays with paired reverse edges (edge i ^ 1 is the reverse).
-    n_nodes = n_demands + n_supplies + 2
-    source = 0
-    sink = n_nodes - 1
-    edge_to: list = []
-    edge_cap: list = []
-    adjacency: list = [[] for _ in range(n_nodes)]
+    def __init__(self, allowed: Sequence[Sequence[bool]], n_supplies: int) -> None:
+        # Source 0, demand nodes 1..J, supply nodes J+1..J+K, sink
+        # J+K+1.  Arcs are parallel arrays in pairs (arc i ^ 1 is the
+        # reverse of arc i): source -> demand j, then supply k -> sink,
+        # then demand -> supply for each allowed (j, k) in row-major
+        # order, from arc ``first`` on.
+        n_demands = len(allowed)
+        self.shape = (n_demands, n_supplies)
+        self._sink = sink = n_demands + n_supplies + 1
+        cells = [(j, k) for j, row in enumerate(allowed) for k in range(n_supplies) if row[k]]
+        arcs = [(0, 1 + j) for j in range(n_demands)]
+        arcs += [(1 + n_demands + k, sink) for k in range(n_supplies)]
+        arcs += [(1 + j, 1 + n_demands + k) for j, k in cells]
+        self._adjacency: list = [[] for _ in range(sink + 1)]
+        self._edge_to: list = []
+        for u, v in arcs:
+            self._adjacency[u].append(len(self._edge_to))
+            self._adjacency[v].append(len(self._edge_to) + 1)
+            self._edge_to += (v, u)
+        self._first = first = 2 * (n_demands + n_supplies)
+        # Per demand node, its supply arcs paired with the supply's sink arc.
+        self._rows: list = [[] for _ in range(n_demands)]
+        for m, (j, k) in enumerate(cells):
+            self._rows[j].append((first + 2 * m, 2 * (n_demands + k)))
+        self._source_arc = [2 * j for j, _ in cells]
+        self._flat = np.array([j * n_supplies + k for j, k in cells], dtype=np.intp)
 
-    def add_edge(u: int, v: int, capacity: int) -> None:
-        adjacency[u].append(len(edge_to))
-        edge_to.append(v)
-        edge_cap.append(capacity)
-        adjacency[v].append(len(edge_to))
-        edge_to.append(u)
-        edge_cap.append(0)
+    def solve(self, demands: Sequence[int], capacities: Sequence[int]) -> np.ndarray:
+        """Maximum flow of one instance; see the class docstring."""
+        out = np.zeros(self.shape[0] * self.shape[1], dtype=np.int64)
+        if out.size == 0:
+            return out.reshape(self.shape)
+        first = self._first
+        cap = [0] * len(self._edge_to)
+        cap[0:first:2] = [int(x) for x in [*demands, *capacities]]
+        cap[first::2] = [cap[e] for e in self._source_arc]
+        adjacency, edge_to, sink = self._adjacency, self._edge_to, self._sink
+        # With no flow yet, every residual path is source -> demand ->
+        # supply -> sink, so Dinic's first phase is the greedy pass the
+        # depth-first search below would make: each demand node in
+        # order fills its allowed supplies in order.
+        for j, row in enumerate(self._rows):
+            left = cap[2 * j]
+            for e, t in row:
+                pushed = cap[t] if cap[t] < left else left
+                if pushed:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                    cap[t] -= pushed
+                    cap[t ^ 1] += pushed
+                    left -= pushed
+            cap[2 * j + 1] += cap[2 * j] - left
+            cap[2 * j] = left
+        while True:
+            # BFS: layered residual distances from the source.
+            level = [-1] * (sink + 1)
+            level[0] = 0
+            queue = [0]
+            for u in queue:
+                for e in adjacency[u]:
+                    if cap[e] > 0 and level[edge_to[e]] < 0:
+                        level[edge_to[e]] = level[u] + 1
+                        queue.append(edge_to[e])
+            if level[sink] < 0:
+                break
+            # Blocking flow: iterative depth-first search along residual
+            # arcs one level down, in adjacency order.  Each node resumes
+            # at its current arc ``iter_idx[u]``, a dead end advances its
+            # parent's arc, and each augment restarts from the source.
+            iter_idx = [0] * (sink + 1)
+            path: list = []
+            u = 0
+            while True:
+                edges = adjacency[u]
+                i = iter_idx[u]
+                down = level[u] + 1
+                while i < len(edges) and not (
+                    cap[edges[i]] > 0 and level[edge_to[edges[i]]] == down
+                ):
+                    i += 1
+                iter_idx[u] = i
+                if i < len(edges):
+                    path.append(edges[i])
+                    u = edge_to[edges[i]]
+                    if u == sink:
+                        pushed = min([cap[e] for e in path])
+                        for e in path:
+                            cap[e] -= pushed
+                            cap[e ^ 1] += pushed
+                        path.clear()
+                        u = 0
+                elif path:
+                    u = edge_to[path.pop() ^ 1]
+                    iter_idx[u] += 1
+                else:
+                    break
+        out[self._flat] = cap[first + 1 :: 2]  # pushed flow
+        return out.reshape(self.shape)
 
-    demand_edges = []
-    for j in range(n_demands):
-        add_edge(source, 1 + j, int(demands[j]))
-    for k in range(n_supplies):
-        add_edge(1 + n_demands + k, sink, int(capacities[k]))
-    for j in range(n_demands):
-        row = allowed[j]
-        for k in range(n_supplies):
-            if row[k]:
-                demand_edges.append((j, k, len(edge_to)))
-                add_edge(1 + j, 1 + n_demands + k, int(demands[j]))
 
-    level = [0] * n_nodes
-    iter_idx = [0] * n_nodes
+def solve_transport_counts(
+    demands: Sequence[int],
+    capacities: Sequence[int],
+    allowed: Sequence[Sequence[bool]],
+) -> np.ndarray:
+    """Maximum-flow matrix ``(J, K)`` of one transportation instance.
 
-    while True:
-        # BFS: layered residual distances from the source.
-        for i in range(n_nodes):
-            level[i] = -1
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for e in adjacency[u]:
-                v = edge_to[e]
-                if edge_cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            break
-        for i in range(n_nodes):
-            iter_idx[i] = 0
-
-        # DFS blocking flow (recursion depth <= 4: the graph is layered
-        # source -> demand -> supply -> sink); deterministic arc order.
-        def augment(u: int, pushed: int) -> int:
-            if u == sink:
-                return pushed
-            edges = adjacency[u]
-            while iter_idx[u] < len(edges):
-                e = edges[iter_idx[u]]
-                v = edge_to[e]
-                if edge_cap[e] > 0 and level[v] == level[u] + 1:
-                    got = augment(v, min(pushed, edge_cap[e]))
-                    if got > 0:
-                        edge_cap[e] -= got
-                        edge_cap[e ^ 1] += got
-                        return got
-                iter_idx[u] += 1
-            return 0
-
-        while augment(source, 1 << 60) > 0:
-            pass
-
-    for j, k, e in demand_edges:
-        flow = edge_cap[e ^ 1]  # reverse capacity equals pushed flow
-        if flow > 0:
-            out[j, k] = flow
-    return out
+    Builds a :class:`TransportNetwork` for ``allowed`` and solves it
+    once.  A caller that solves one ``allowed`` pattern for several
+    demand vectors should keep the network and call its ``solve``.
+    """
+    return TransportNetwork(allowed, len(capacities)).solve(demands, capacities)
 
 
 def _assign_ids_by_flow(cells: Mapping, id_demand: Mapping) -> dict:

@@ -56,6 +56,8 @@ class TestbedConfig:
             distinct experiments see slightly different geometries.
     """
 
+    __test__ = False  # a deployment config, not a pytest test class
+
     geometry: TestbedGeometry = field(default_factory=TestbedGeometry)
     radio: RadioConfig = field(default_factory=RadioConfig)
     interferer_power_dbm: float = 0.0
@@ -100,6 +102,8 @@ class Testbed:
         >>> placement = next(enumerate_placements(3))  # doctest: +SKIP
         >>> medium, names = testbed.build_medium(placement, rng)  # doctest: +SKIP
     """
+
+    __test__ = False  # a medium factory, not a pytest test class
 
     def __init__(self, config: Optional[TestbedConfig] = None) -> None:
         self.config = config if config is not None else TestbedConfig()

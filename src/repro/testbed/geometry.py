@@ -28,6 +28,8 @@ class TestbedGeometry:
         grid: cells per side (paper: 3).
     """
 
+    __test__ = False  # a geometry, not a pytest test class
+
     area_m2: float = 14.0
     grid: int = 3
 

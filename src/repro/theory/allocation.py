@@ -16,24 +16,23 @@ planner's id demands per terminal subset come from the memoized
 scenario LP.  :func:`realised_support_flow` solves the integral
 transportation max-flow between the two — subset ``T`` may only draw
 support packets from pattern cells ``P >= T`` — reusing the exact flow
-core the session uses (:func:`repro.coding.privacy.solve_transport_counts`).
+core the session uses (:class:`repro.coding.privacy.TransportNetwork`).
 
-Solves are memoized on the observed ``(histogram, demands)`` key:
-within a scenario many rounds realise the same histogram (small ``N``
-especially, which is also where integrality bites hardest), so the
-cache amortises like the allocation-LP cache does.  The cached
-:class:`RealisedPlan` is immutable and shared — callers must treat the
-flow table as read-only (the array is marked unwriteable).
+Plans are memoized on the observed ``(histogram, demands)`` key, though
+distinct rounds rarely repeat a key, so nearly every call solves.  The
+cached :class:`RealisedPlan` is immutable and shared — callers must
+treat the flow table as read-only (the array is marked unwriteable).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coding.privacy import solve_transport_counts
+from repro.coding.privacy import TransportNetwork
 
 __all__ = [
     "RealisedPlan",
@@ -98,18 +97,20 @@ def realised_support_flow(
             ceiling with no rounding buffer.
 
     Returns:
-        The cached :class:`RealisedPlan`.  Identical keys return the
-        *identical object* (``is``-equal), which is what lets thousands
-        of rounds share one max-flow solve.
+        The :class:`RealisedPlan`; a repeated key returns the identical
+        cached object.  The flow and scale are exactly those of solving
+        the round's transportation network afresh at every probe.
     """
     cells = tuple(p for p, _ in cell_counts)
     subsets = tuple(s for s, _ in subset_demands)
     demands = [int(d) for _, d in subset_demands]
     capacities = [int(c) for _, c in cell_counts]
     allowed = [[(s & p) == s for p in cells] for s in subsets]
-    flow = solve_transport_counts(demands, capacities, allowed)
+    network = TransportNetwork(allowed, len(cells))
+    flow = network.solve(demands, capacities)
     scale = 1.0
-    if flow.sum() < sum(demands):
+    reached = flow.sum(axis=1).tolist()
+    if sum(reached) < sum(demands):
         # Infeasible round: a maximum flow meets the total but may
         # starve individual subsets entirely (max-flow optimises the
         # sum, not the spread), and a starved subset drags the secret
@@ -122,26 +123,32 @@ def realised_support_flow(
         # exactly at their certified-rate ceiling with no rounding
         # buffer, precisely the blocks whose secrecy deficits the
         # session never produces.
+        #
+        # The first flow's row sums are themselves a feasible demand
+        # vector, so a probe they dominate is feasible without a
+        # solve; the flow of the final scale is then solved once, from
+        # the same inputs a probe would have used.
         lo = 0.0
         hi = 1.0
-        best = np.zeros_like(flow)
+        best = None
         for _ in range(6):
             mid = (lo + hi) / 2.0
-            scaled = [int(np.floor(mid * d)) for d in demands]
-            candidate = solve_transport_counts(scaled, capacities, allowed)
+            scaled = [math.floor(mid * d) for d in demands]
+            if all(s <= r for s, r in zip(scaled, reached)):
+                lo, best = mid, None
+                continue
+            candidate = network.solve(scaled, capacities)
             if candidate.sum() >= sum(scaled):
-                lo = mid
-                best = candidate
+                lo, best = mid, candidate
             else:
                 hi = mid
+        if best is None:
+            best = network.solve([math.floor(lo * d) for d in demands], capacities)
         if top_up:
-            residual_demands = [
-                int(d) - int(best[j].sum()) for j, d in enumerate(demands)
-            ]
-            residual_caps = [
-                int(c) - int(best[:, k].sum()) for k, c in enumerate(capacities)
-            ]
-            extra = solve_transport_counts(residual_demands, residual_caps, allowed)
+            extra = network.solve(
+                [d - r for d, r in zip(demands, best.sum(axis=1).tolist())],
+                [c - u for c, u in zip(capacities, best.sum(axis=0).tolist())],
+            )
             flow = best + extra
             scale = 1.0  # demand caps stay unscaled; exact budgets bind instead
         else:

@@ -4,14 +4,21 @@ The batched engine's honesty contract rests on two properties pinned
 here: the transportation flow is a correct, deterministic integral
 assignment (subset ``T`` draws only from pattern cells containing it,
 supports disjoint, capacities respected), and identical observed-round
-keys return the *identical* cached plan object so thousands of rounds
-share one solve.
+keys return the *identical* cached plan object.  The exact-replay corpus
+below pins the solver's output bit for bit: campaigns are reproducible
+only if every flow matrix and scale stays the same, not merely optimal.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
-from repro.coding.privacy import solve_transport_counts
+from repro.coding.privacy import TransportNetwork, solve_transport_counts
 from repro.theory import (
     clear_realised_flow_cache,
     realised_flow_cache_info,
@@ -131,3 +138,155 @@ class TestRealisedSupportFlow:
         assert topped.flow.sum() == 4
         assert topped.flow.sum() > plain.flow.sum()
         assert topped.scale == 1.0
+
+
+def _random_transport(rng):
+    """One transportation instance, empty sides included."""
+    j, k = (int(x) for x in rng.integers(0, 7, size=2))
+    demands = [int(x) for x in rng.integers(0, 10, size=j)]
+    capacities = [int(x) for x in rng.integers(0, 10, size=k)]
+    allowed = (rng.random((j, k)) < rng.uniform(0.2, 1.0)).tolist()
+    return demands, capacities, allowed
+
+
+def _lattice_round(rng, n):
+    """A realised-round key on the n-terminal pattern lattice.
+
+    The demand scale is drawn per round, so feasible and infeasible
+    rounds are both common; some demands are zero.
+    """
+    masks = np.arange(1, 1 << n)
+    n_cells = int(rng.integers(1, min(len(masks), 12) + 1))
+    n_subsets = int(rng.integers(1, min(len(masks), 8) + 1))
+    cells = sorted(int(p) for p in rng.choice(masks, size=n_cells, replace=False))
+    subsets = sorted(int(t) for t in rng.choice(masks, size=n_subsets, replace=False))
+    reach = rng.uniform(0.1, 1.2)
+    cell_counts = tuple((p, int(rng.integers(1, 12))) for p in cells)
+    subset_demands = tuple(
+        (t, int(rng.integers(0, int(12 * reach) + 1))) for t in subsets
+    )
+    return cell_counts, subset_demands
+
+
+def _transport_corpus():
+    rng = np.random.default_rng(20121029)
+    corpus = [_random_transport(rng) for _ in range(300)]
+    for n in range(3, 7):
+        for _ in range(50):
+            cell_counts, subset_demands = _lattice_round(rng, n)
+            corpus.append(
+                (
+                    [d for _, d in subset_demands],
+                    [c for _, c in cell_counts],
+                    [[t & p == t for p, _ in cell_counts] for t, _ in subset_demands],
+                )
+            )
+    return corpus
+
+
+def _realised_corpus():
+    rng = np.random.default_rng(64)
+    corpus = [
+        ((), ((0b001, 3),)),
+        (((0b011, 2),), ()),
+        ((), ()),
+        (((0b111, 4),), ((0b001, 0), (0b010, 0))),
+    ]
+    for n in range(3, 7):
+        corpus.extend(_lattice_round(rng, n) for _ in range(100))
+    return corpus
+
+
+def _digest(matrices, scales=()):
+    h = hashlib.sha256()
+    for m in matrices:
+        h.update(repr(m.shape).encode())
+        h.update(np.ascontiguousarray(m, dtype="<i8").tobytes())
+    for scale in scales:
+        h.update(repr(float(scale)).encode())
+    return h.hexdigest()
+
+
+# Recorded from the reference solver; any change to a flow matrix or a
+# scale, even to another optimal flow, changes these digests.
+TRANSPORT_DIGEST = "e74d6d229a8d8efceb26301beef675b576262ae9c03d49463d19d61627e9d83d"
+REALISED_DIGESTS = {
+    False: "41c48ecefb839c0f420b19b28e09316eb34aa188bc4dca19598fe1c62d9cd40c",
+    True: "e2999402ae6b0a179e26c17d24cee99406c4086d93da339d657b5d40ec5a5bbf",
+}
+
+
+class TestExactReplay:
+    def test_transport_matrices_unchanged(self):
+        flows = [solve_transport_counts(*args) for args in _transport_corpus()]
+        assert _digest(flows) == TRANSPORT_DIGEST
+
+    @pytest.mark.parametrize("top_up", [False, True])
+    def test_realised_plans_unchanged(self, top_up):
+        plans = [realised_support_flow(*key, top_up=top_up) for key in _realised_corpus()]
+        if not top_up:
+            # The corpus must exercise the scale search, not just full rounds.
+            scaled = sum(plan.scale < 1.0 for plan in plans)
+            assert 0.2 * len(plans) < scaled < 0.8 * len(plans)
+        digest = _digest([p.flow for p in plans], [p.scale for p in plans])
+        assert digest == REALISED_DIGESTS[top_up]
+
+
+def _reference_max_flow_value(demands, capacities, allowed):
+    """Max-flow value of the same network, solved by scipy."""
+    j, k = len(demands), len(capacities)
+    sink = j + k + 1
+    arcs = [(0, 1 + a, demands[a]) for a in range(j)]
+    arcs += [(1 + j + b, sink, capacities[b]) for b in range(k)]
+    arcs += [
+        (1 + a, 1 + j + b, demands[a])
+        for a in range(j)
+        for b in range(k)
+        if allowed[a][b]
+    ]
+    tails, heads, caps = zip(*arcs) if arcs else ((), (), ())
+    graph = csr_array(
+        (np.array(caps, dtype=np.int32), (tails, heads)), shape=(sink + 1, sink + 1)
+    )
+    return int(maximum_flow(graph, 0, sink).flow_value)
+
+
+@st.composite
+def transport_instances(draw):
+    j = draw(st.integers(0, 6))
+    k = draw(st.integers(0, 6))
+    demands = draw(st.lists(st.integers(0, 12), min_size=j, max_size=j))
+    capacities = draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
+    allowed = draw(
+        st.lists(st.lists(st.booleans(), min_size=k, max_size=k), min_size=j, max_size=j)
+    )
+    return demands, capacities, allowed
+
+
+class TestTransportProperties:
+    @given(transport_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_flow_is_feasible_and_maximum(self, instance):
+        demands, capacities, allowed = instance
+        flow = solve_transport_counts(demands, capacities, allowed)
+        assert flow.shape == (len(demands), len(capacities))
+        assert np.all(flow >= 0)
+        assert np.all(flow.sum(axis=1) <= np.array(demands, dtype=np.int64))
+        assert np.all(flow.sum(axis=0) <= np.array(capacities, dtype=np.int64))
+        mask = np.array(allowed, dtype=bool).reshape(flow.shape)
+        assert np.all(flow[~mask] == 0)
+        assert flow.sum() == _reference_max_flow_value(demands, capacities, allowed)
+
+    @given(transport_instances(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_reused_network_matches_one_shot_solves(self, instance, data):
+        # The realised planner solves one network repeatedly; no solve
+        # may leak residual state into the next.
+        demands, capacities, allowed = instance
+        network = TransportNetwork(allowed, len(capacities))
+        for _ in range(3):
+            d = [data.draw(st.integers(0, 12)) for _ in demands]
+            c = [data.draw(st.integers(0, 12)) for _ in capacities]
+            assert np.array_equal(
+                network.solve(d, c), solve_transport_counts(d, c, allowed)
+            )
