@@ -19,6 +19,7 @@ message sequence).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Union
 
 from repro.auth.mac import MAC_KEY_BYTES, OneTimeMac
 from repro.core.secret import GroupSecret, SecretPool
@@ -46,14 +47,18 @@ class AuthenticatedChannel:
     sent: int = 0
 
     @classmethod
-    def from_bootstrap(cls, bootstrap: bytes) -> "AuthenticatedChannel":
-        if len(bootstrap) < MAC_KEY_BYTES:
+    def from_bootstrap(cls, bootstrap: Union[bytes, SecretPool]) -> "AuthenticatedChannel":
+        """A channel keyed by ``bootstrap``: raw bytes, or a pool such as a
+        lazily expanded :meth:`SecretPool.streamed` one."""
+        if isinstance(bootstrap, SecretPool):
+            pool = bootstrap
+        else:
+            pool = SecretPool(bytearray(bootstrap))
+        if pool.available_bytes < MAC_KEY_BYTES:
             raise BootstrapError(
                 f"bootstrap must provide at least {MAC_KEY_BYTES} bytes"
             )
-        channel = cls()
-        channel.pool.deposit_raw(bootstrap)
-        return channel
+        return cls(pool=pool)
 
     def refresh(self, secret: GroupSecret) -> None:
         """Deposit a protocol-agreed secret into the key pool."""

@@ -3,10 +3,14 @@
 Unconditionally secure authentication: the tag is a polynomial hash of
 the message evaluated at a secret point, masked with a one-time pad::
 
-    tag_j = m_1 * k^(B)  + m_2 * k^(B-1) + ... + m_B * k  + r_j
+    tag_j = m_1 * k_j^B  + m_2 * k_j^(B-1) + ... + m_B * k_j  + (B mod 256) + r_j
 
-(symbol-wise over GF(256), with independent evaluation/mask symbols per
-tag position).  For a single use of the key, an attacker who sees
+(symbol-wise over GF(256), with independent evaluation points ``k_j``
+and pad symbols ``r_j`` per tag position; a zero key byte is evaluated
+as the point 1).  All ``TAG_SYMBOLS`` hashes
+are one vectorised polynomial evaluation
+(:func:`repro.gf.field.gf_poly_eval`) over the message bytes followed by
+the length byte.  For a single use of the key, an attacker who sees
 (message, tag) and forges a different message succeeds with probability
 at most ``B / 256`` per tag symbol — ``(B/256)^t`` for a t-symbol tag —
 *independent of computational power*, which is the property that makes
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gf.field import gf_add, gf_mul, gf_poly_eval
+from repro.gf.field import gf_poly_eval
 
 __all__ = ["OneTimeMac", "MAC_KEY_BYTES", "TAG_SYMBOLS", "forgery_bound"]
 
@@ -63,22 +67,13 @@ class OneTimeMac:
 
     def tag(self, message: bytes) -> bytes:
         """Authenticate ``message``; returns a TAG_SYMBOLS-byte tag."""
-        coeffs = np.frombuffer(message, dtype=np.uint8)
-        if coeffs.size == 0:
-            coeffs = np.zeros(1, dtype=np.uint8)
-        out = bytearray()
-        for j in range(TAG_SYMBOLS):
-            point = self.key[j]
-            pad = self.key[TAG_SYMBOLS + j]
-            if point == 0:
-                # gf_poly_eval at 0 keeps only the constant term; shift
-                # to the multiplicative group to keep every byte binding.
-                point = 1
-            value = gf_poly_eval(coeffs, point)
-            # Bind the length so extensions cannot be forged.
-            value = gf_add(gf_mul(value, point), len(message) % 256)
-            out.append(gf_add(value, pad))
-        return bytes(out)
+        key = np.frombuffer(self.key, dtype=np.uint8)
+        # A zero point would keep only the constant term; shift it into
+        # the multiplicative group to keep every byte binding.
+        points = np.maximum(key[:TAG_SYMBOLS], 1)
+        # Binding the length as the constant term stops extensions.
+        coeffs = np.frombuffer(bytes(message) + bytes([len(message) % 256]), dtype=np.uint8)
+        return (gf_poly_eval(coeffs, points) ^ key[TAG_SYMBOLS:]).tobytes()
 
     def verify(self, message: bytes, tag: bytes) -> bool:
         """Constant-shape verification (recompute and compare)."""

@@ -10,6 +10,7 @@ one-time pads are drawn, with no long-lived material to steal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -57,20 +58,40 @@ class SecretPool:
     Bytes handed out by :meth:`consume` are discarded — they can never be
     issued twice, which is what makes pads and Carter-Wegman MAC keys
     drawn from the pool information-theoretically safe to use once.
+
+    A pool made by :meth:`streamed` holds bytes that are not computed
+    yet: they are pulled from their stream only as :meth:`consume` needs
+    them, and count as available all along.
     """
 
     _buffer: bytearray = field(default_factory=bytearray)
     consumed_bytes: int = 0
+    _stream: Iterator[bytes] = field(default_factory=lambda: iter(()))
+    _unpulled: int = 0
+
+    @classmethod
+    def streamed(cls, blocks: Iterator[bytes], n_bytes: int) -> "SecretPool":
+        """A pool of the first ``n_bytes`` that ``blocks`` yields."""
+        return cls(_stream=blocks, _unpulled=n_bytes)
 
     @property
     def available_bytes(self) -> int:
-        return len(self._buffer)
+        return len(self._buffer) + self._unpulled
+
+    def _pull(self, n_bytes: int) -> None:
+        """Pull stream blocks until ``n_bytes`` are buffered (or none are left)."""
+        while len(self._buffer) < n_bytes and self._unpulled:
+            block = next(self._stream)[: self._unpulled]
+            self._buffer.extend(block)
+            self._unpulled -= len(block)
 
     def deposit(self, secret: GroupSecret) -> None:
         """Fold a freshly agreed secret into the pool."""
-        self._buffer.extend(secret.to_bytes())
+        self.deposit_raw(secret.to_bytes())
 
     def deposit_raw(self, data: bytes) -> None:
+        # Deposits queue behind the stream's bytes, so pull those first.
+        self._pull(self.available_bytes)
         self._buffer.extend(data)
 
     def consume(self, n_bytes: int) -> bytes:
@@ -82,10 +103,11 @@ class SecretPool:
         """
         if n_bytes < 0:
             raise ValueError("cannot consume a negative amount")
-        if n_bytes > len(self._buffer):
+        if n_bytes > self.available_bytes:
             raise LookupError(
-                f"pool has {len(self._buffer)} bytes, {n_bytes} requested"
+                f"pool has {self.available_bytes} bytes, {n_bytes} requested"
             )
+        self._pull(n_bytes)
         out = bytes(self._buffer[:n_bytes])
         del self._buffer[:n_bytes]
         self.consumed_bytes += n_bytes

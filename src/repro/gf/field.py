@@ -2,12 +2,14 @@
 
 All functions accept either Python ints or numpy arrays (any shape) of
 dtype uint8 and broadcast like ordinary numpy ufuncs.  Addition is XOR;
-multiplication and division go through the discrete-log tables from
-:mod:`repro.gf.tables`.
+multiplication, division and powers are lookups in the
+:data:`~repro.gf.tables.MUL` / :data:`~repro.gf.tables.INV` tables from
+:mod:`repro.gf.tables`, so zero operands need no masking.
 
-The hot path of the whole library is :func:`gf_matmul` — combining packet
-payloads and running Gaussian elimination both reduce to it — so it is
-written to stay inside vectorised numpy.
+The hot paths of the whole library — :func:`gf_matmul` (combining packet
+payloads), the row operations of Gaussian elimination, and
+:func:`gf_poly_eval` (the MAC) — are all ``MUL`` gathers followed by XOR
+reductions, written to stay inside vectorised numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.gf.tables import EXP, GF_GENERATOR, GF_ORDER, GF_POLY, LOG
+from repro.gf.tables import EXP, GF_GENERATOR, GF_ORDER, GF_POLY, INV, LOG, MUL
 
 GFElement = Union[int, np.ndarray]
 
@@ -49,135 +51,113 @@ def as_gf_array(values) -> np.ndarray:
     return arr
 
 
+def _is_scalar(a: GFElement) -> bool:
+    return isinstance(a, (int, np.integer))
+
+
 def gf_add(a: GFElement, b: GFElement) -> GFElement:
     """Field addition (== subtraction): bitwise XOR."""
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
+    if _is_scalar(a) and _is_scalar(b):
         return int(a) ^ int(b)
     return np.bitwise_xor(as_gf_array(a), as_gf_array(b))
 
 
 def gf_mul(a: GFElement, b: GFElement) -> GFElement:
-    """Field multiplication via log/antilog tables.
+    """Field multiplication: one lookup in the :data:`MUL` table.
 
-    ``a * b = g**(log a + log b)`` for nonzero operands; any zero operand
-    yields zero.  The vectorised branch uses the sentinel in LOG[0]
-    (a large negative value) together with ``np.where`` masking so no
-    conditional indexing is needed.
+    Array operands broadcast against each other like a numpy ufunc.
     """
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-        if a == 0 or b == 0:
-            return 0
-        return int(EXP[LOG[int(a)] + LOG[int(b)]])
-    a_arr = as_gf_array(a)
-    b_arr = as_gf_array(b)
-    la = LOG[a_arr]
-    lb = LOG[b_arr]
-    idx = la + lb
-    zero = (a_arr == 0) | (b_arr == 0)
-    # Sentinel sums are far negative; clamp them into the padded EXP range
-    # before the lookup, then mask the result to zero.
-    idx = np.where(zero, 0, idx)
-    return np.where(zero, 0, EXP[idx]).astype(np.uint8)
+    if _is_scalar(a) and _is_scalar(b):
+        return int(MUL[a, b])
+    return MUL[as_gf_array(a), as_gf_array(b)]
 
 
 def gf_inv(a: GFElement) -> GFElement:
     """Multiplicative inverse.
 
     Raises:
-        ZeroDivisionError: on a zero operand (scalar path) — vectorised
-        callers must mask zeros themselves, mirroring numpy's behaviour
-        for integer division.
+        ZeroDivisionError: if ``a`` is zero, or has any zero entry.
     """
-    if isinstance(a, (int, np.integer)):
+    if _is_scalar(a):
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(256)")
-        return int(EXP[255 - LOG[int(a)]])
+        return int(INV[a])
     a_arr = as_gf_array(a)
     if np.any(a_arr == 0):
         raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return EXP[255 - LOG[a_arr]].astype(np.uint8)
+    return INV[a_arr]
 
 
 def gf_div(a: GFElement, b: GFElement) -> GFElement:
     """Field division ``a / b``; raises ZeroDivisionError when b == 0."""
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
+    if _is_scalar(a) and _is_scalar(b):
         if b == 0:
             raise ZeroDivisionError("division by zero in GF(256)")
-        if a == 0:
-            return 0
-        return int(EXP[LOG[int(a)] - LOG[int(b)] + 255])
+        return int(MUL[a, INV[b]])
     b_arr = as_gf_array(b)
     if np.any(b_arr == 0):
         raise ZeroDivisionError("division by zero in GF(256)")
-    a_arr = as_gf_array(a)
-    la = LOG[a_arr]
-    lb = LOG[b_arr]
-    idx = la - lb + 255
-    zero = a_arr == 0
-    idx = np.where(zero, 0, idx)
-    return np.where(zero, 0, EXP[idx]).astype(np.uint8)
+    return MUL[as_gf_array(a), INV[b_arr]]
 
 
 def gf_pow(a: GFElement, exponent: int) -> GFElement:
-    """``a ** exponent`` with the usual conventions (``a**0 == 1``)."""
+    """``a ** exponent`` with the usual conventions (``a**0 == 1``).
+
+    Square-and-multiply through :data:`MUL`, which needs no special case
+    for zero.
+    """
     if exponent < 0:
         return gf_pow(gf_inv(a), -exponent)
-    if isinstance(a, (int, np.integer)):
-        if exponent == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(EXP[(LOG[int(a)] * exponent) % 255])
-    a_arr = as_gf_array(a)
-    if exponent == 0:
-        return np.ones_like(a_arr)
-    idx = (LOG[a_arr] * exponent) % 255
-    zero = a_arr == 0
-    idx = np.where(zero, 0, idx)
-    return np.where(zero, 0, EXP[idx]).astype(np.uint8)
+    scalar = _is_scalar(a)
+    base = np.uint8(a) if scalar else as_gf_array(a)
+    result = np.ones_like(base)
+    # a**255 == 1 for every nonzero a, so exponents fold into [1, 255].
+    if exponent > 255:
+        exponent = (exponent - 1) % 255 + 1
+    while exponent:
+        if exponent & 1:
+            result = MUL[result, base]
+        base = MUL[base, base]
+        exponent >>= 1
+    return int(result) if scalar else result
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(256).
 
     ``a`` has shape (r, k), ``b`` has shape (k, c); the result has shape
-    (r, c).  Implemented row-by-row with table lookups: for each row of
-    ``a`` we compute all scalar-vector products in one vectorised XOR
-    reduction.  This keeps memory bounded at O(k*c) per row while staying
-    fully inside numpy.
+    (r, c).  Row by row: one :data:`MUL` gather scales the rows of ``b``
+    picked by the row's nonzero coefficients, and one XOR reduction sums
+    them.  Memory stays bounded at O(k*c) per row.
     """
     a = as_gf_array(np.atleast_2d(a))
     b = as_gf_array(np.atleast_2d(b))
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch for GF matmul: {a.shape} x {b.shape}")
-    rows, k = a.shape
-    _, cols = b.shape
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    if k == 0 or rows == 0 or cols == 0:
-        return out
-    log_b = LOG[b]  # (k, c), sentinel at zeros
-    b_zero = b == 0
-    for i in range(rows):
-        row = a[i]
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i, row in enumerate(a):
         nz = row != 0
-        if not np.any(nz):
-            continue
-        la = LOG[row[nz]][:, None]  # (k', 1)
-        idx = la + log_b[nz]  # (k', c)
-        prod = EXP[np.where(b_zero[nz], 0, idx)]
-        prod = np.where(b_zero[nz], 0, prod)
-        out[i] = np.bitwise_xor.reduce(prod, axis=0)
+        if nz.any():
+            out[i] = np.bitwise_xor.reduce(MUL[row[nz][:, None], b[nz]], axis=0)
     return out
 
 
 def gf_poly_eval(coeffs: np.ndarray, x: GFElement) -> GFElement:
-    """Evaluate a polynomial with GF(256) coefficients at ``x`` (Horner).
+    """Evaluate a polynomial with GF(256) coefficients at ``x``.
 
-    ``coeffs`` is highest-degree first.  Used by the authentication MAC
-    (polynomial universal hashing).
+    ``coeffs`` is highest-degree first; ``x`` is one point or an array
+    of points (the result has its shape).  All powers ``x**k`` come from
+    one gather in the discrete-log tables, and each point's value is one
+    XOR reduction of :data:`MUL` products, so no Python loop runs over
+    the coefficients.  Used by the authentication MAC (polynomial
+    universal hashing).
     """
     coeffs = as_gf_array(np.atleast_1d(coeffs))
-    acc: GFElement = 0
-    for c in coeffs:
-        acc = gf_add(gf_mul(acc, x), int(c))
-    return acc
+    points = as_gf_array(x)
+    flat = points.reshape(-1, 1)
+    degrees = np.arange(coeffs.size - 1, -1, -1)
+    powers = EXP[LOG[flat] * degrees % 255]
+    # Zero has no logarithm: 0**k is 0, except the constant term's 0**0.
+    powers[flat[:, 0] == 0, :-1] = 0
+    values = np.bitwise_xor.reduce(MUL[coeffs, powers], axis=1).reshape(points.shape)
+    return int(values) if _is_scalar(x) else values

@@ -10,8 +10,9 @@ matrices over GF(256):
   metric, is computed).
 
 The implementation keeps data in numpy uint8 arrays and performs row
-reduction with vectorised row operations; only the pivot search is a
-Python-level loop, so cost is O(min(r,c)) vectorised passes.
+reduction with vectorised row operations (each one gather in the
+:data:`~repro.gf.tables.MUL` table and an XOR); only the pivot search is
+a Python-level loop, so cost is O(min(r,c)) vectorised passes.
 """
 
 from __future__ import annotations
@@ -21,19 +22,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.gf.field import as_gf_array, gf_matmul
-from repro.gf.tables import EXP, LOG
+from repro.gf.tables import INV, MUL
 
 __all__ = ["GFMatrix"]
-
-
-def _scale_rows(block: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-    """Multiply each row of ``block`` by the matching scalar (vectorised)."""
-    scalars = scalars.reshape(-1, 1)
-    log_s = LOG[scalars]
-    log_b = LOG[block]
-    zero = (block == 0) | (scalars == 0)
-    idx = np.where(zero, 0, log_s + log_b)
-    return np.where(zero, 0, EXP[idx]).astype(np.uint8)
 
 
 class GFMatrix:
@@ -133,43 +124,37 @@ class GFMatrix:
         """Forward elimination to reduced row echelon form.
 
         Returns ``(rref, aug_rref, pivot_cols)``.  If ``augment`` is given
-        it is carried along (for solving); otherwise ``aug_rref`` is None.
+        it is carried along (for solving) as extra columns of the working
+        array, so each row operation updates both at once; otherwise
+        ``aug_rref`` is None.
         """
-        a = self.data.copy()
-        aug = None if augment is None else as_gf_array(augment).copy()
-        rows, cols = a.shape
+        rows, cols = self.data.shape
+        if augment is None:
+            work = self.data.copy()
+        else:
+            work = np.hstack([self.data, as_gf_array(augment)])
         pivot_cols: list[int] = []
         r = 0
         for c in range(cols):
             if r >= rows:
                 break
-            pivot_rows = np.nonzero(a[r:, c])[0]
+            pivot_rows = np.nonzero(work[r:, c])[0]
             if pivot_rows.size == 0:
                 continue
             p = r + int(pivot_rows[0])
             if p != r:
-                a[[r, p]] = a[[p, r]]
-                if aug is not None:
-                    aug[[r, p]] = aug[[p, r]]
+                work[[r, p]] = work[[p, r]]
             # Normalise the pivot row to a leading 1.
-            inv = EXP[255 - LOG[a[r, c]]]
-            a[r] = _scale_rows(a[r : r + 1], np.array([inv], dtype=np.uint8))[0]
-            if aug is not None:
-                aug[r] = _scale_rows(aug[r : r + 1], np.array([inv], dtype=np.uint8))[0]
+            work[r] = MUL[INV[work[r, c]], work[r]]
             # Clear the column everywhere else in one vectorised pass.
-            col = a[:, c].copy()
-            col[r] = 0
-            mask = col != 0
-            if np.any(mask):
-                factors = col[mask]
-                a[mask] ^= _scale_rows(np.broadcast_to(a[r], (factors.size, cols)), factors)
-                if aug is not None:
-                    aug[mask] ^= _scale_rows(
-                        np.broadcast_to(aug[r], (factors.size, aug.shape[1])), factors
-                    )
+            mask = work[:, c] != 0
+            mask[r] = False
+            if mask.any():
+                work[mask] ^= MUL[work[mask, c][:, None], work[r]]
             pivot_cols.append(c)
             r += 1
-        return a, aug, pivot_cols
+        aug = None if augment is None else work[:, cols:]
+        return work[:, :cols], aug, pivot_cols
 
     def rref(self) -> tuple["GFMatrix", list[int]]:
         """Reduced row echelon form and the pivot column indices."""

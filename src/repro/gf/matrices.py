@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.field import gf_inv, gf_pow
+from repro.gf.field import gf_pow
 from repro.gf.linalg import GFMatrix
+from repro.gf.tables import INV
 
 __all__ = [
     "cauchy_matrix",
@@ -70,9 +71,7 @@ def cauchy_matrix(rows: int, cols: int, offset: int = 0) -> GFMatrix:
     y = np.arange(offset + rows, offset + rows + cols, dtype=np.uint8)
     # Field addition is XOR; all x_i ^ y_j are nonzero because the point
     # sets are disjoint.
-    denom = np.bitwise_xor(x[:, None], y[None, :])
-    data = np.vectorize(gf_inv, otypes=[np.uint8])(denom)
-    return GFMatrix(data)
+    return GFMatrix(INV[x[:, None] ^ y[None, :]])
 
 
 def vandermonde_matrix(rows: int, cols: int, start: int = 1) -> GFMatrix:
@@ -93,7 +92,7 @@ def vandermonde_matrix(rows: int, cols: int, start: int = 1) -> GFMatrix:
     points = np.arange(start, start + cols, dtype=np.uint8)
     data = np.zeros((rows, cols), dtype=np.uint8)
     for i in range(rows):
-        data[i] = [gf_pow(int(p), i) for p in points]
+        data[i] = gf_pow(points, i)
     return GFMatrix(data)
 
 

@@ -1,14 +1,16 @@
-"""Construction of the GF(2^8) discrete-log tables.
+"""Construction of the GF(2^8) lookup tables.
 
 The field GF(256) is represented as polynomials over GF(2) modulo the
 primitive polynomial 0x11D.  Because the polynomial is primitive, the
 element ``2`` (the polynomial ``x``) generates the multiplicative group,
 so every nonzero element is ``2**k`` for a unique ``k`` in ``[0, 255)``.
-Multiplication then reduces to adding discrete logs, which is what the
-:data:`EXP` / :data:`LOG` tables implement.
+The :data:`EXP` / :data:`LOG` discrete-log tables record that map.
 
-The tables are built once at import time; they are tiny (768 bytes total)
-and building them takes microseconds.
+Every product in the library is one lookup in the full multiplication
+table :data:`MUL` (``MUL[a, b] == a * b``, 64 KB), and every inverse one
+lookup in :data:`INV`; zero operands need no special case.  ``MUL`` is
+built from ``EXP``/``LOG`` with one vectorised gather, so importing the
+module takes well under a millisecond.
 """
 
 from __future__ import annotations
@@ -29,16 +31,15 @@ def build_tables(poly: int = GF_POLY) -> tuple[np.ndarray, np.ndarray]:
     """Build (EXP, LOG) tables for GF(256) under the given primitive poly.
 
     Returns:
-        ``EXP``: shape (512,) uint8 — ``EXP[k] = g**(k mod 255)``.  The
+        ``EXP``: shape (510,) uint8 — ``EXP[k] = g**(k mod 255)``.  The
         table is doubled so that ``EXP[LOG[a] + LOG[b]]`` never needs an
         explicit modulo.
         ``LOG``: shape (256,) int32 — ``LOG[a]`` such that
-        ``g**LOG[a] == a`` for nonzero ``a``.  ``LOG[0]`` is set to a
-        sentinel (``-512``) so any use of it lands outside valid products
-        and is masked by callers.
+        ``g**LOG[a] == a`` for nonzero ``a``.  Zero has no logarithm;
+        ``LOG[0]`` is 0 and callers must treat zero themselves.
     """
-    exp = np.zeros(512, dtype=np.uint8)
-    log = np.full(256, -512, dtype=np.int32)
+    exp = np.zeros(510, dtype=np.uint8)
+    log = np.zeros(256, dtype=np.int32)
     value = 1
     for k in range(255):
         exp[k] = value
@@ -46,16 +47,29 @@ def build_tables(poly: int = GF_POLY) -> tuple[np.ndarray, np.ndarray]:
         value <<= 1
         if value & 0x100:
             value ^= poly
-    # Doubling lets callers index EXP[LOG[a] + LOG[b]] directly.
-    exp[255:510] = exp[0:255]
-    # The two trailing slots are never hit by valid products but keep
-    # indexing safe for the sentinel arithmetic used in vectorised code.
-    exp[510] = exp[0]
-    exp[511] = exp[1]
+    exp[255:] = exp[:255]
     return exp, log
 
 
+def build_mul_inv(exp: np.ndarray, log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Build (MUL, INV) from the discrete-log tables.
+
+    Returns:
+        ``MUL``: shape (256, 256) uint8 — ``MUL[a, b] = a * b``; row and
+        column 0 are zero.
+        ``INV``: shape (256,) uint8 — ``INV[a] = 1 / a`` for nonzero
+        ``a``; ``INV[0]`` is 0 and callers must reject zero themselves.
+    """
+    logs = log[1:]
+    mul = np.zeros((256, 256), dtype=np.uint8)
+    mul[1:, 1:] = exp[logs[:, None] + logs[None, :]]
+    inv = np.zeros(256, dtype=np.uint8)
+    inv[1:] = exp[255 - logs]
+    return mul, inv
+
+
 EXP, LOG = build_tables()
+MUL, INV = build_mul_inv(EXP, LOG)
 
 
 def multiplicative_order(element: int, poly: int = GF_POLY) -> int:

@@ -27,7 +27,8 @@ from repro.core.estimator import (
     FixedFractionEstimator,
     OracleEstimator,
 )
-from repro.service.derive import hkdf_expand, hkdf_extract
+from repro.core.secret import SecretPool
+from repro.service.derive import hkdf_extract, hkdf_stream
 
 __all__ = ["ServiceConfig", "LEADER_ROLE", "FOLLOWER_ROLE"]
 
@@ -159,17 +160,23 @@ class ServiceConfig:
 
     # -- seeded derivations ------------------------------------------------
 
-    def pair_pool(self, leader: str, follower: str) -> bytes:
+    def pair_pool(self, leader: str, follower: str) -> SecretPool:
         """The (leader, follower) pair's one-time-MAC bootstrap pool.
 
         Expanded from the master bootstrap with HKDF so each pair
         consumes independent material; both ends compute it locally.
+        The expansion is lazy: a session pulls only the 32-byte HKDF
+        blocks its MAC keys use, not all ``pool_bytes_per_peer`` bytes.
+        An oversize pool raises ValueError here, not mid-handshake.
         """
         salt = hashlib.sha256(
             b"thin-air/pair-pool|" + leader.encode() + b"|" + follower.encode()
         ).digest()
         prk = hkdf_extract(salt, self.bootstrap)
-        return hkdf_expand(prk, b"bootstrap-pool", self.pool_bytes_per_peer)
+        return SecretPool.streamed(
+            hkdf_stream(prk, b"bootstrap-pool", self.pool_bytes_per_peer),
+            self.pool_bytes_per_peer,
+        )
 
     def _trace_rng(self, name: str) -> np.random.Generator:
         tag = int.from_bytes(

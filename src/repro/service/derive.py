@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from repro.service.errors import InsufficientEntropyError, NoSecretError
 __all__ = [
     "hkdf_extract",
     "hkdf_expand",
+    "hkdf_stream",
     "DerivedKeys",
     "LeakageBudget",
     "derive_session_keys",
@@ -108,20 +109,30 @@ def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
     return hmac.new(salt, ikm, hashlib.sha256).digest()
 
 
-def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
-    """RFC 5869 expand: stretch a PRK to ``length`` output bytes."""
+def hkdf_stream(prk: bytes, info: bytes, length: int) -> Iterator[bytes]:
+    """RFC 5869 expand as a lazy stream of 32-byte output blocks.
+
+    The blocks concatenate to ``hkdf_expand(prk, info, length)`` (the
+    last one may run past ``length``); each is computed only when it is
+    pulled.  ``length`` is checked here, before any block is pulled.
+    """
     if length < 0:
         raise ValueError("cannot derive a negative number of bytes")
     if length > 255 * _HASH_LEN:
         raise ValueError(f"HKDF-Expand caps output at {255 * _HASH_LEN} bytes")
-    out = bytearray()
+    return _expand_blocks(prk, info, -(-length // _HASH_LEN))
+
+
+def _expand_blocks(prk: bytes, info: bytes, count: int) -> Iterator[bytes]:
     block = b""
-    counter = 1
-    while len(out) < length:
+    for counter in range(1, count + 1):
         block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
+        yield block
+
+
+def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
+    """RFC 5869 expand: stretch a PRK to ``length`` output bytes."""
+    return b"".join(hkdf_stream(prk, info, length))[:length]
 
 
 @dataclass(frozen=True)

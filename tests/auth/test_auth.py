@@ -2,10 +2,41 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.auth.bootstrap import AuthenticatedChannel, BootstrapError
 from repro.auth.mac import MAC_KEY_BYTES, TAG_SYMBOLS, OneTimeMac, forgery_bound
 from repro.core.secret import GroupSecret
+from repro.gf.tables import GF_POLY, _poly_mul
+
+
+def horner_tag(key: bytes, message: bytes) -> bytes:
+    """Reference oracle: the MAC as a scalar Horner loop per tag symbol,
+    on the carry-less reference multiplication."""
+    out = bytearray()
+    for j in range(TAG_SYMBOLS):
+        point = key[j] or 1
+        value = 0
+        for c in message or b"\x00":
+            value = _poly_mul(value, point, GF_POLY) ^ c
+        value = _poly_mul(value, point, GF_POLY) ^ (len(message) % 256)
+        out.append(value ^ key[TAG_SYMBOLS + j])
+    return bytes(out)
+
+
+#: Keys with zero evaluation points turn up often.
+mac_keys = st.lists(
+    st.one_of(st.just(0), st.integers(0, 255)),
+    min_size=MAC_KEY_BYTES,
+    max_size=MAC_KEY_BYTES,
+).map(bytes)
+#: Short messages, and messages on both sides of the 256-byte wrap of
+#: the length binding.
+messages = st.one_of(
+    st.binary(max_size=24),
+    st.integers(250, 530).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+)
 
 
 class TestOneTimeMac:
@@ -70,6 +101,16 @@ class TestOneTimeMac:
             if mac.verify(forged, tag):
                 successes += 1
         assert successes == 0
+
+
+class TestTagMatchesHorner:
+    @given(mac_keys, messages)
+    @example(bytes(MAC_KEY_BYTES), b"")
+    @example(bytes([0, 7, 0, 9, 1, 2, 3, 4]), bytes(256))
+    @example(bytes([0, 0, 0, 0, 5, 6, 7, 8]), b"\xff" * 257)
+    @example(bytes(range(1, 9)), b"x" * 255)
+    def test_tag_is_byte_identical_to_horner(self, key, message):
+        assert OneTimeMac(key).tag(message) == horner_tag(key, message)
 
 
 class TestAuthenticatedChannel:

@@ -16,7 +16,16 @@ from repro.gf.field import (
     gf_poly_eval,
     gf_pow,
 )
-from repro.gf.tables import EXP, LOG, build_tables, multiplicative_order
+from repro.gf.tables import (
+    EXP,
+    GF_POLY,
+    INV,
+    LOG,
+    MUL,
+    _poly_mul,
+    build_tables,
+    multiplicative_order,
+)
 
 element = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -33,8 +42,19 @@ class TestTables:
     def test_exp_is_periodic(self):
         assert np.array_equal(EXP[:255], EXP[255:510])
 
-    def test_log_zero_is_sentinel(self):
-        assert LOG[0] < -255
+    def test_mul_table_matches_reference_on_all_pairs(self):
+        expected = np.array(
+            [[_poly_mul(a, b, GF_POLY) for b in range(256)] for a in range(256)],
+            dtype=np.uint8,
+        )
+        assert MUL.dtype == np.uint8
+        assert np.array_equal(MUL, expected)
+
+    def test_inv_table_matches_scalar_inverse(self):
+        assert INV.dtype == np.uint8 and INV.shape == (256,)
+        assert np.array_equal(INV[1:], EXP[255 - LOG[1:]])
+        for a in range(1, 256):
+            assert _poly_mul(a, int(INV[a]), GF_POLY) == 1
 
     def test_build_tables_deterministic(self):
         exp2, log2 = build_tables()
@@ -193,6 +213,23 @@ class TestHelpers:
 
     def test_poly_eval_constant(self):
         assert gf_poly_eval(np.array([42], dtype=np.uint8), 17) == 42
+
+    @given(
+        st.lists(element, max_size=300),
+        st.lists(element, min_size=1, max_size=8),
+    )
+    def test_poly_eval_on_points_matches_scalar_horner(self, coeffs, points):
+        expected = []
+        for x in points:
+            acc = 0
+            for c in coeffs:
+                acc = gf_add(gf_mul(acc, x), c)
+            expected.append(acc)
+        arr = np.array(coeffs, dtype=np.uint8)
+        values = gf_poly_eval(arr, np.array(points, dtype=np.uint8))
+        assert values.dtype == np.uint8
+        assert values.tolist() == expected
+        assert [gf_poly_eval(arr, x) for x in points] == expected
 
     def test_poly_eval_horner(self):
         # p(x) = 3x^2 + 5x + 7 at x = 2

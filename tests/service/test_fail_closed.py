@@ -119,6 +119,45 @@ class TestPoolExhaustion:
         assert leader.secret_rows == 0
         assert followers["bob"].derived_keys is None
 
+    @pytest.mark.parametrize("pool_bytes", [8, 16, 24, 32, 48])
+    def test_lazy_pool_exhausts_where_the_eager_pool_did(self, monkeypatch, pool_bytes):
+        """The lazily expanded pool runs dry at exactly the message the
+        fully expanded byte string did, with the same typed error."""
+        config = ServiceConfig(
+            n_x_packets=16, payload_bytes=8, pool_bytes_per_peer=pool_bytes
+        )
+
+        def run():
+            leader, followers = make_engines(config)
+            try:
+                pump(leader, followers)
+                error = None
+            except PoolExhaustedError as exc:
+                error = str(exc)
+            channels = (leader.auth["bob"], followers["bob"].auth)
+            return error, [(c.sent, c.pool.consumed_bytes) for c in channels]
+
+        lazy = run()
+        lazy_pool = ServiceConfig.pair_pool
+
+        def eager_pool(self, leader, follower):
+            pool = lazy_pool(self, leader, follower)
+            return pool.consume(pool.available_bytes)
+
+        monkeypatch.setattr(ServiceConfig, "pair_pool", eager_pool)
+        assert run() == lazy
+        if pool_bytes == 16:
+            assert lazy[0] == "key pool exhausted: run the secret-agreement protocol"
+
+    def test_pool_above_the_hkdf_cap_fails_at_construction(self):
+        config = ServiceConfig(
+            n_x_packets=16, payload_bytes=8, pool_bytes_per_peer=255 * 32 + 1
+        )
+        with pytest.raises(ValueError, match="HKDF-Expand caps"):
+            LeaderEngine(config, "alice", ("bob",))
+        with pytest.raises(ValueError, match="HKDF-Expand caps"):
+            FollowerEngine(config, "bob", "alice")
+
     def test_exhaustion_through_the_async_driver(self):
         import asyncio
 
