@@ -25,7 +25,7 @@ simple and the bound airtight).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class OneTimeMac:
             are evaluation points, the rest one-time pad symbols.
     """
 
-    key: bytes
+    key: bytes = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.key) != MAC_KEY_BYTES:

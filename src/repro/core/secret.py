@@ -64,9 +64,10 @@ class SecretPool:
     them, and count as available all along.
     """
 
-    _buffer: bytearray = field(default_factory=bytearray)
+    # Pool bytes are future pads and MAC keys: never in repr().
+    _buffer: bytearray = field(default_factory=bytearray, repr=False)
     consumed_bytes: int = 0
-    _stream: Iterator[bytes] = field(default_factory=lambda: iter(()))
+    _stream: Iterator[bytes] = field(default_factory=lambda: iter(()), repr=False)
     _unpulled: int = 0
 
     @classmethod

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -146,8 +146,8 @@ class DerivedKeys:
             handshake itself and never handed to applications.
     """
 
-    material: bytes
-    confirm_root: bytes
+    material: bytes = field(repr=False)
+    confirm_root: bytes = field(repr=False)
 
     def confirm_tag(self, role: str, name: str) -> bytes:
         """Direction-bound confirmation tag for ``role``/``name``."""

@@ -22,7 +22,8 @@ Design (see :mod:`repro.sim.engine` for the full derivation):
   every terminal-subset's support pool and Eve-miss count at once.
 * **Allocation reuse** — the symmetric allocation LP is solved once per
   scenario (memoized in :mod:`repro.theory.efficiency`) and clamped
-  against each round's realised pools; no per-round LP or max-flow.
+  against each round's realised pools; each round then needs only one
+  integral max-flow on its observed pattern histogram.
 * **Declarative campaigns** — :class:`~repro.sim.campaign.ScenarioGrid`
   expands the scenario matrix, and
   :class:`~repro.sim.campaign.CampaignRunner` shards cells across

@@ -1,42 +1,50 @@
-"""Batched Monte-Carlo protocol accounting: B rounds as numpy arrays.
+"""Batched Monte-Carlo protocol accounting: B rounds per engine pass.
 
 The per-packet :class:`~repro.core.session.ProtocolSession` simulates
 every transmission, retry, Cauchy block and GF solve — the ground-truth
 oracle.  This engine reproduces the *statistics* the figures need
 (delivery rates, secret length, z-overhead, efficiency, reliability)
-for B independent rounds simultaneously:
+for B independent rounds simultaneously.  It is the one implementation
+of the round accounting: the cross-cell path (:mod:`repro.sim.stack`)
+runs the same steps on row ranges of a stacked tensor.
 
 1. **Receptions** — the whole ``(B, links, N)`` loss tensor is drawn in
    one vectorised call per loss model (:mod:`repro.sim.reception`).
    Eve's reception is the union across her antennas (multi-antenna
    adversaries included) *before* any accounting happens, exactly like
    :meth:`repro.net.medium.LossModel.lost`.
-2. **Pattern histogram** — each packet's reception pattern (the subset
-   of receivers that captured it) is encoded as a bitmask and the per
-   round pattern counts are built with one ``bincount``.
-3. **Pools** — a superset-sum (zeta) transform over the subset lattice
-   turns pattern counts into ``pools[b, T]`` = packets received by all
-   of ``T``, and the same transform over Eve-missed packets yields the
+2. **Pattern tables** (:func:`pattern_tables`) — each packet's
+   reception pattern (the subset of receivers that captured it) is
+   encoded as a bitmask and the per-round pattern counts are built with
+   one ``bincount``; a superset-sum (zeta) transform over the subset
+   lattice turns them into ``pools[b, T]`` = packets received by all of
+   ``T``, and the same transform over Eve-missed packets yields the
    oracle budgets, all as ``(B, 2^r)`` arrays.
-4. **Planning** — the symmetric allocation LP is solved once per
-   scenario (memoized in :mod:`repro.theory.efficiency`); its
-   per-level row targets, clamped by each round's certified budgets,
-   set the *demand* side of the realised assignment.
-5. **Realised assignment** — each round's demand is realised by an
-   *integral* transportation max-flow on the round's observed pattern
-   histogram (:func:`repro.theory.allocation.realised_support_flow`,
-   memoized by observed-pattern key, sharing the flow core of
-   :func:`repro.coding.privacy.solve_transport_counts` with the
-   per-packet session).  Supports are disjoint, rows are whole
+3. **Planning** (:meth:`BatchedRoundEngine.account_rounds`, vectorised
+   over rounds) — the estimator's certified budgets per (round, subset);
+   the symmetric allocation LP, solved once per scenario (memoized in
+   :mod:`repro.theory.efficiency`), whose per-level row targets,
+   clamped by each round's budgets and scaled to its size-family
+   capacities, set the *demand* side of the realised assignment.
+4. **Realised assignment** (:func:`_integerise`, :func:`_realise`, one
+   round at a time on Python scalars, where numpy's per-op dispatch
+   would dominate at subset-lattice sizes) — each round's demand is
+   rounded to whole packets and realised by an *integral*
+   transportation max-flow on the round's observed pattern histogram
+   (:func:`repro.theory.allocation.realised_support_flow`, sharing the
+   flow core of :func:`repro.coding.privacy.solve_transport_counts`
+   with the per-packet session).  Supports are disjoint, rows are whole
    numbers, and shortfalls land exactly where the session's flow
    assignment would put them — no fractional-LP optimism at small N.
-6. **Accounting** — Eve's misses *inside each realised support* are
-   drawn from the exact multivariate hypergeometric law of the cell
-   composition; per-round ``M_i``, ``L = min_i M_i`` (after the
-   session-mirroring excess-row trim), z-overhead, the Figure-1
-   efficiency ``L / (N + z)`` and the reliability of the resulting
-   secret (estimator over-promises convert into rank deficit exactly
-   as in :mod:`repro.core.eve`, block by disjoint block).
+   Eve's misses *inside each realised support* are drawn from the
+   exact multivariate hypergeometric law of the cell composition, rows
+   are certified on the realised support, and rows that cannot raise
+   ``L = min_i M_i`` are trimmed like the session trims them.
+5. **Epilogue** (:meth:`BatchedRoundEngine.account_rounds`, vectorised)
+   — per-round ``M_i`` and ``L``, z-overhead, phase-2 chunk slack, the
+   Figure-1 efficiency ``L / (N + z)``, and the reliability of the
+   resulting secret (estimator over-promises convert into rank deficit
+   exactly as in :mod:`repro.core.eve`, block by disjoint block).
 
 The engine remains a statistical model, not a bit-exact replay: it
 applies leave-one-out exclusions at subset granularity using global
@@ -59,7 +67,8 @@ what makes sharded campaigns bit-identical to serial ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from math import floor as _floor
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -77,7 +86,13 @@ from repro.sim.spec import (
 from repro.theory.allocation import realised_support_flow
 from repro.theory.efficiency import group_allocation_profile
 
-__all__ = ["BatchResult", "BatchedRoundEngine", "run_batch"]
+__all__ = ["BatchResult", "BatchedRoundEngine", "pattern_tables", "run_batch"]
+
+_INF = float("inf")
+
+#: ``(counts, miss_counts, pools, eve_pools, miss_rates)`` of a batch,
+#: see :func:`pattern_tables`.
+PatternTables = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _superset_sums(table: np.ndarray) -> np.ndarray:
@@ -105,6 +120,43 @@ def _subset_sums(table: np.ndarray) -> np.ndarray:
         out[:, upper] += out[:, upper ^ bit]
         bit <<= 1
     return out
+
+
+def pattern_tables(batch: ReceptionBatch) -> PatternTables:
+    """The subset-lattice tables the accounting reads, per round.
+
+    Returns ``(counts, miss_counts, pools, eve_pools, miss_rates)``:
+    ``counts[b, P]`` packets of round ``b`` received by exactly the
+    receiver bitmask ``P`` (one ``bincount`` over (round, pattern)
+    pairs), ``miss_counts`` the same over packets Eve missed, ``pools``
+    and ``eve_pools`` their superset sums (packets received by *all*
+    of ``T``), and ``miss_rates[b, i]`` receiver ``i``'s missed
+    fraction.  Every table is row-wise in the rounds.
+    """
+    recv = batch.terminals
+    b, r, n = recv.shape
+    n_sub = 1 << r
+    weights = (1 << np.arange(r)).astype(np.int64)
+    patterns = np.tensordot(recv.astype(np.int64), weights, axes=([1], [0]))
+    flat = (np.arange(b, dtype=np.int64)[:, None] * n_sub + patterns).ravel()
+    counts = (
+        np.bincount(flat, minlength=b * n_sub).reshape(b, n_sub).astype(float)
+    )
+    miss_counts = np.bincount(
+        flat, weights=(~batch.eve).ravel().astype(float), minlength=b * n_sub
+    ).reshape(b, n_sub)
+    # Missed-count over n, not 1 - mean(): bitwise-identical to the
+    # collusion estimator's missed_by_all / n, so k = 1 collusion and
+    # leave-one-out certify the same budgets to the last ulp (the
+    # realised planner's integer thresholds amplify ulps).
+    miss_rates = (n - recv.sum(axis=2)) / float(n)
+    return (
+        counts,
+        miss_counts,
+        _superset_sums(counts),
+        _superset_sums(miss_counts),
+        miss_rates,
+    )
 
 
 @dataclass
@@ -238,6 +290,11 @@ class BatchedRoundEngine:
             bool
         )
         self._subset_sizes = self._membership.sum(axis=1)
+        # Scalar views for the per-round kernel.
+        self._sizes = self._subset_sizes.tolist()
+        self._members_of = [
+            tuple(i for i in range(r) if s >> i & 1) for s in range(self._n_subsets)
+        ]
 
     # -- budgets ---------------------------------------------------------
 
@@ -370,147 +427,6 @@ class BatchedRoundEngine:
             rates[:, s] = worst
         return np.maximum(rates - spec.rate_margin, 0.0)
 
-    # -- realised per-round assignment -----------------------------------
-
-    def _integerise_demand(
-        self, id_need: np.ndarray, counts_int: np.ndarray
-    ) -> np.ndarray:
-        """Round one round's fractional support demand to whole packets.
-
-        Largest-remainder rounding, capped by the nested size-family
-        capacities: a unit granted to subset ``T`` counts against every
-        family ``s <= |T|`` (blocks decodable by >= s receivers draw
-        from patterns of size >= s), so a blanket ``ceil`` — which can
-        inflate total demand past the realised histogram and push the
-        max-flow into starving whole subsets — never happens.  Rounds
-        whose demand is family-feasible after this step almost always
-        get their full assignment from a single flow solve.
-        """
-        sizes = self._subset_sizes
-        r = self.scenario.n_receivers
-        base = np.floor(id_need + 1e-9)
-        remainder = id_need - base
-        fam_need = np.array(
-            [base[sizes >= s].sum() for s in range(r + 1)]
-        )
-        fam_cap = np.array(
-            [counts_int[sizes >= s].sum() for s in range(r + 1)]
-        )
-        demand = base.copy()
-        # Deterministic order: biggest remainder first, mask tie-break.
-        order = np.lexsort((np.arange(remainder.size), -remainder))
-        for s_idx in order:
-            if remainder[s_idx] <= 1e-9:
-                break
-            level = int(sizes[s_idx])
-            if level == 0:
-                continue
-            if np.all(fam_need[1 : level + 1] + 1 <= fam_cap[1 : level + 1]):
-                demand[s_idx] += 1
-                fam_need[1 : level + 1] += 1
-        return demand.astype(np.int64)
-
-    def _realise_round(
-        self,
-        counts_int: np.ndarray,
-        miss_int: np.ndarray,
-        demand_rows: np.ndarray,
-        id_demand: np.ndarray,
-        rates: Optional[np.ndarray],
-        uses_oracle: bool,
-    ) -> Tuple[np.ndarray, float]:
-        """One round's integral assignment: (rows over 2^r subsets, deficit).
-
-        Draws the round's support assignment from the memoized flow on
-        the observed pattern histogram, samples Eve's misses inside
-        each realised support (multivariate hypergeometric over the
-        support's cell composition), certifies rows per estimator on
-        the realised support, trims rows that cannot raise ``L`` (the
-        session's :func:`repro.coding.privacy._trim_excess_rows`), and
-        sums the rank deficit Eve's actual misses leave behind.
-        """
-        rows = np.zeros(self._n_subsets)
-        active = np.flatnonzero(id_demand)
-        if active.size == 0:
-            return rows, 0.0
-        cell_masks = np.flatnonzero(counts_int)
-        cell_masks = cell_masks[cell_masks != 0]
-        if cell_masks.size == 0:
-            return rows, 0.0
-        plan = realised_support_flow(
-            tuple((int(p), int(counts_int[p])) for p in cell_masks),
-            tuple((int(s), int(id_demand[s])) for s in active),
-            top_up=rates is None,
-        )
-        flow = plan.flow
-        assigned = plan.assigned
-
-        # Eve's misses inside each realised support: cells are
-        # exchangeable pools, so sequential hypergeometric draws give
-        # the exact multivariate law of the disjoint supports.
-        good_left = {p: int(miss_int[p]) for p in plan.cells}
-        total_left = {p: int(counts_int[p]) for p in plan.cells}
-        sampled = np.zeros(len(plan.subsets))
-        for j in range(len(plan.subsets)):
-            for k, p in enumerate(plan.cells):
-                take = int(flow[j, k])
-                if take == 0:
-                    continue
-                good = good_left[p]
-                total = total_left[p]
-                if good <= 0:
-                    drawn = 0
-                elif take >= total:
-                    drawn = good
-                else:
-                    drawn = int(self.rng.hypergeometric(good, total - good, take))
-                sampled[j] += drawn
-                good_left[p] = good - drawn
-                total_left[p] = total - take
-
-        # Certified rows per realised support, integral like the
-        # session: rate evidence scales linearly with support size (the
-        # session's LeaveOneOutEstimator deliberately applies *global*
-        # pretend-Eve rates — counting a witness's misses inside a
-        # subset pool is circular, the pool is missed wholesale by
-        # terminals outside its patterns), while the oracle certifies
-        # the support's actual sampled misses.
-        for j, s in enumerate(plan.subsets):
-            cert = np.inf
-            if uses_oracle:
-                cert = float(sampled[j])
-            if rates is not None:
-                cert = min(cert, float(rates[s]) * float(assigned[j]))
-            rows[s] = min(
-                float(np.floor(plan.scale * demand_rows[s] + 1e-9)),
-                float(np.floor(cert + 1e-9)),
-                float(assigned[j]),
-            )
-        rows = np.maximum(rows, 0.0)
-
-        # Trim rows that cannot raise L = min_i M_i (every extra z-packet
-        # hands Eve a free equation), mirroring the session's greedy
-        # small-subsets-first trim.
-        m_i = rows @ self._membership.astype(float)
-        if rows.sum() > 0:
-            floor_val = m_i.min()
-            order = sorted(
-                (s for s in plan.subsets if rows[s] > 0),
-                key=lambda s: (int(self._subset_sizes[s]), s),
-            )
-            for s in order:
-                members = self._membership[s]
-                slack = (m_i[members] - floor_val).min()
-                cut = min(rows[s], max(slack, 0.0))
-                if cut > 0:
-                    rows[s] -= cut
-                    m_i[members] -= cut
-
-        deficit = 0.0
-        for j, s in enumerate(plan.subsets):
-            deficit += max(rows[s] - sampled[j], 0.0)
-        return rows, deficit
-
     # -- the batch -------------------------------------------------------
 
     def run(self, rounds: Optional[int] = None) -> BatchResult:
@@ -524,33 +440,24 @@ class BatchedRoundEngine:
 
     def account(self, batch: ReceptionBatch) -> BatchResult:
         """Run the protocol accounting on an already-sampled batch."""
+        recv = batch.terminals
+        if recv.shape[1:] != (self.scenario.n_receivers, self.scenario.n_x_packets):
+            raise ValueError("batch shape does not match the scenario")
+        return self.account_rounds(batch, pattern_tables(batch))
+
+    def account_rounds(
+        self, batch: ReceptionBatch, tables: PatternTables
+    ) -> BatchResult:
+        """The accounting of ``batch`` given its :func:`pattern_tables`.
+
+        Every step is row-wise, so ``batch`` and ``tables`` may be one
+        cell's row range of a stacked tensor (:mod:`repro.sim.stack`)
+        as well as a whole per-cell batch.
+        """
         scenario = self.scenario
         recv = batch.terminals
         b, r, n = recv.shape
-        if r != scenario.n_receivers or n != scenario.n_x_packets:
-            raise ValueError("batch shape does not match the scenario")
-        n_sub = self._n_subsets
-
-        # Pattern histogram: one bincount over (round, pattern) pairs.
-        weights = (1 << np.arange(r)).astype(np.int64)
-        patterns = np.tensordot(recv.astype(np.int64), weights, axes=([1], [0]))
-        flat = (np.arange(b, dtype=np.int64)[:, None] * n_sub + patterns).ravel()
-        counts = (
-            np.bincount(flat, minlength=b * n_sub).reshape(b, n_sub).astype(float)
-        )
-        eve_miss = ~batch.eve
-        miss_counts = (
-            np.bincount(flat, weights=eve_miss.ravel().astype(float), minlength=b * n_sub)
-            .reshape(b, n_sub)
-        )
-
-        pools = _superset_sums(counts)
-        eve_pools = _superset_sums(miss_counts)
-        # Missed-count over n, not 1 - mean(): bitwise-identical to the
-        # collusion estimator's missed_by_all / n, so k = 1 collusion
-        # and leave-one-out certify the same budgets to the last ulp
-        # (the realised planner's integer thresholds amplify ulps).
-        miss_rates = (n - recv.sum(axis=2)) / float(n)
+        counts, miss_counts, pools, eve_pools, miss_rates = tables
 
         # Certified budgets per (round, subset) pool: rate evidence
         # times pool size, floored by the oracle's exact misses when
@@ -618,19 +525,31 @@ class BatchedRoundEngine:
         id_need[np.floor(demand_rows + 1e-9) < 1.0] = 0.0
         id_need[:, 0] = 0.0
 
-        counts_int = np.rint(counts).astype(np.int64)
-        miss_int = np.rint(miss_counts).astype(np.int64)
-        rows = np.zeros((b, n_sub))
+        # The per-round kernel runs on Python scalars and lists: at
+        # subset-lattice sizes numpy's per-op dispatch would dominate.
+        # The conversions are exact (counts are integral doubles).
+        counts_list = np.rint(counts).astype(np.int64).tolist()
+        miss_list = np.rint(miss_counts).astype(np.int64).tolist()
+        id_need_list = id_need.tolist()
+        demand_list = demand_rows.tolist()
+        rates_list = rates.tolist() if rates is not None else None
+        rows = np.zeros((b, self._n_subsets))
         deficit = np.zeros(b)
         for bi in range(b):
-            id_demand = self._integerise_demand(id_need[bi], counts_int[bi])
-            rows[bi], deficit[bi] = self._realise_round(
-                counts_int[bi],
-                miss_int[bi],
-                demand_rows[bi],
+            id_demand = _integerise(
+                id_need_list[bi], counts_list[bi], self._sizes, r
+            )
+            rows[bi], deficit[bi] = _realise(
+                counts_list[bi],
+                miss_list[bi],
+                demand_list[bi],
                 id_demand,
-                rates[bi] if rates is not None else None,
+                rates_list[bi] if rates_list is not None else None,
                 uses_oracle,
+                self.rng,
+                r,
+                self._sizes,
+                self._members_of,
             )
 
         m_i = rows @ self._membership.astype(float)  # (B, r)
@@ -660,9 +579,7 @@ class BatchedRoundEngine:
 
         # Measured secrecy: Eve's equation count (captured x-packets
         # plus every public z-row) and the residual hidden dimensions
-        # the deficit accounting leaves her.  Same expressions as the
-        # stacked path (`repro.sim.stack._account_cell`) — bit-identity
-        # is part of the contract.
+        # the deficit accounting leaves her.
         eve_missed_counts = batch.eve_missed_counts()
         eve_equations = (n - eve_missed_counts) + z_public
 
@@ -679,6 +596,205 @@ class BatchedRoundEngine:
             hidden_dims=hidden,
             eve_equations=eve_equations,
         )
+
+
+def _integerise(
+    id_need: List[float],
+    counts_int: List[int],
+    sizes: List[int],
+    r: int,
+) -> List[int]:
+    """Round one round's fractional support demand to whole packets.
+
+    Largest-remainder rounding, capped by the nested size-family
+    capacities: a unit granted to subset ``T`` counts against every
+    family ``s <= |T|`` (blocks decodable by >= s receivers draw from
+    patterns of size >= s), so a blanket ``ceil`` — which can inflate
+    total demand past the realised histogram and push the max-flow into
+    starving whole subsets — never happens.  Rounds whose demand is
+    family-feasible after this step almost always get their full
+    assignment from a single flow solve.
+    """
+    n_sub = len(id_need)
+    # Integral state stays in ints: Python float-vs-int arithmetic and
+    # comparison convert the int to an exactly-equal double.
+    base = [0] * n_sub
+    rem = [0.0] * n_sub
+    size_need = [0] * (r + 1)
+    size_cap = [0] * (r + 1)
+    for i in range(n_sub):
+        x = id_need[i]
+        floored = _floor(x + 1e-9)
+        base[i] = floored
+        rem[i] = x - floored
+        level = sizes[i]
+        size_need[level] += floored
+        size_cap[level] += counts_int[i]
+    # fam_*[s] = total over subsets of size >= s (nested families).
+    fam_need = [0] * (r + 1)
+    fam_cap = [0] * (r + 1)
+    acc_need = 0
+    acc_cap = 0
+    for s in range(r, -1, -1):
+        acc_need += size_need[s]
+        acc_cap += size_cap[s]
+        fam_need[s] = acc_need
+        fam_cap[s] = acc_cap
+    # Deterministic order: biggest remainder first, mask tie-break.
+    order = sorted(range(n_sub), key=lambda i: (-rem[i], i))
+    demand = base
+    for i in order:
+        if rem[i] <= 1e-9:
+            break
+        level = sizes[i]
+        if level == 0:
+            continue
+        feasible = True
+        for t in range(1, level + 1):
+            if fam_need[t] + 1 > fam_cap[t]:
+                feasible = False
+                break
+        if feasible:
+            demand[i] += 1
+            for t in range(1, level + 1):
+                fam_need[t] += 1
+    return demand
+
+
+def _realise(
+    counts_int: List[int],
+    miss_int: List[int],
+    demand_rows: List[float],
+    id_demand: List[int],
+    rates_row: Optional[List[float]],
+    uses_oracle: bool,
+    rng: np.random.Generator,
+    r: int,
+    sizes: List[int],
+    members_of: List[tuple],
+) -> Tuple[List[float], float]:
+    """One round's integral assignment: (rows over 2^r subsets, deficit).
+
+    Draws the round's support assignment from the memoized flow on the
+    observed pattern histogram, samples Eve's misses inside each
+    realised support (multivariate hypergeometric over the support's
+    cell composition), certifies rows per estimator on the realised
+    support, trims rows that cannot raise ``L`` (the session's
+    :func:`repro.coding.privacy._trim_excess_rows`), and sums the rank
+    deficit Eve's actual misses leave behind.  Rows are integral
+    doubles throughout, so every sum below is exact in any order.
+    """
+    n_sub = len(counts_int)
+    rows = [0.0] * n_sub
+    active = tuple((s, id_demand[s]) for s in range(n_sub) if id_demand[s])
+    if not active:
+        return rows, 0.0
+    cells = tuple(
+        (p, counts_int[p]) for p in range(1, n_sub) if counts_int[p]
+    )
+    if not cells:
+        return rows, 0.0
+
+    plan = realised_support_flow(cells, active, top_up=rates_row is None)
+    subsets = plan.subsets
+    flow = plan.flow.tolist()
+    assigned = [sum(frow) for frow in flow]
+    n_plan = len(subsets)
+    n_cells = len(plan.cells)
+
+    # Eve's misses inside each realised support: cells are
+    # exchangeable pools, so sequential hypergeometric draws give the
+    # exact multivariate law of the disjoint supports.  Plan cells are
+    # distinct patterns, so positional lists track what each has left.
+    good_left = [miss_int[p] for p in plan.cells]
+    total_left = [counts_int[p] for p in plan.cells]
+    sampled = [0] * n_plan
+    hyper = rng.hypergeometric
+    for j in range(n_plan):
+        frow = flow[j]
+        drawn_total = 0
+        for k in range(n_cells):
+            take = frow[k]
+            if take == 0:
+                continue
+            good = good_left[k]
+            total = total_left[k]
+            if good <= 0:
+                drawn = 0
+            elif take >= total:
+                drawn = good
+            else:
+                drawn = int(hyper(good, total - good, take))
+            drawn_total += drawn
+            good_left[k] = good - drawn
+            total_left[k] = total - take
+        sampled[j] = drawn_total
+
+    # Certified rows per realised support, integral like the session:
+    # rate evidence scales linearly with support size (the session's
+    # LeaveOneOutEstimator deliberately applies *global* pretend-Eve
+    # rates — counting a witness's misses inside a subset pool is
+    # circular, the pool is missed wholesale by terminals outside its
+    # patterns), while the oracle certifies the support's actual
+    # sampled misses.
+    for j in range(n_plan):
+        s = subsets[j]
+        cert = _INF
+        if uses_oracle:
+            cert = float(sampled[j])
+        if rates_row is not None:
+            rate_cert = rates_row[s] * float(assigned[j])
+            if rate_cert < cert:
+                cert = rate_cert
+        value = float(_floor(plan.scale * demand_rows[s] + 1e-9))
+        if cert != _INF:
+            ceiling = float(_floor(cert + 1e-9))
+            if ceiling < value:
+                value = ceiling
+        granted_cap = float(assigned[j])
+        if granted_cap < value:
+            value = granted_cap
+        rows[s] = value if value > 0.0 else 0.0
+
+    # Trim rows that cannot raise L = min_i M_i (every extra z-packet
+    # hands Eve a free equation), mirroring the session's greedy
+    # small-subsets-first trim.
+    m_i = [0.0] * r
+    has_rows = False
+    for s in subsets:
+        value = rows[s]
+        if value > 0.0:
+            has_rows = True
+            for i in members_of[s]:
+                m_i[i] += value
+    if has_rows:
+        floor_val = min(m_i)
+        order = sorted(
+            (s for s in subsets if rows[s] > 0),
+            key=lambda s: (sizes[s], s),
+        )
+        for s in order:
+            mem = members_of[s]
+            slack = m_i[mem[0]] - floor_val
+            for i in mem:
+                diff = m_i[i] - floor_val
+                if diff < slack:
+                    slack = diff
+            if slack <= 0.0:
+                continue
+            cut = rows[s]
+            if slack < cut:
+                cut = slack
+            rows[s] = rows[s] - cut
+            for i in mem:
+                m_i[i] -= cut
+
+    deficit = 0.0
+    for j in range(n_plan):
+        shortfall = rows[subsets[j]] - sampled[j]
+        if shortfall > 0.0:
+            deficit += shortfall
+    return rows, deficit
 
 
 def run_batch(

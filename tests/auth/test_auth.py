@@ -246,3 +246,48 @@ class TestTagReuse:
         # victim's tag for the other message without knowing any key.
         forged = bytes(x ^ y for x, y in zip(mac_victim.tag(m1), leak))
         assert mac_victim.verify(m2, forged)
+
+
+def _shows(text: str, secret: bytes) -> bool:
+    """Whether ``text`` spells ``secret`` as a bytes literal or in hex."""
+    return repr(secret)[2:-1] in text or secret.hex() in text
+
+
+class TestKeyMaterialStaysOutOfRepr:
+    """Key bytes must not leak through ``repr`` — into logs, tracebacks
+    or debugger output."""
+
+    def test_channel_hides_pulled_pool_bytes(self):
+        from repro.service.config import ServiceConfig
+
+        channel = AuthenticatedChannel.from_bootstrap(
+            ServiceConfig().pair_pool("a", "b")
+        )
+        channel.authenticate(b"first frame")
+        buffered = bytes(channel.pool._buffer)
+        assert buffered  # pulled from the stream, not yet used
+        future_keys = [
+            buffered[i : i + MAC_KEY_BYTES]
+            for i in range(0, len(buffered), MAC_KEY_BYTES)
+        ]
+        for shown in (repr(channel), repr(channel.pool)):
+            assert not any(_shows(shown, key) for key in future_keys)
+
+    def test_raw_pool_hides_buffer(self):
+        from repro.core.secret import SecretPool
+
+        secret = bytes(range(40, 72))
+        assert not _shows(repr(SecretPool(bytearray(secret))), secret)
+
+    def test_mac_hides_key(self):
+        key = bytes(range(0x41, 0x41 + MAC_KEY_BYTES))
+        assert not _shows(repr(OneTimeMac(key)), key)
+
+    def test_derived_keys_hide_material_and_confirm_root(self):
+        from repro.service.derive import DerivedKeys
+
+        material = bytes(range(0x61, 0x71))
+        confirm_root = bytes(range(0x30, 0x50))
+        shown = repr(DerivedKeys(material=material, confirm_root=confirm_root))
+        assert not _shows(shown, material)
+        assert not _shows(shown, confirm_root)

@@ -1,5 +1,8 @@
 """Batched engine unit behaviour: determinism, budgets, accounting."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.sim.spec import (
     CollusionEstimatorSpec,
     CombinedEstimatorSpec,
     FixedFractionEstimatorSpec,
+    GilbertElliottLossSpec,
     IIDLossSpec,
     LeaveOneOutEstimatorSpec,
     OracleEstimatorSpec,
@@ -258,3 +262,86 @@ class TestResultViews:
             BatchedRoundEngine(
                 Scenario(n_terminals=20, loss=IIDLossSpec(0.5)), seed=0
             )
+
+
+RESULT_FIELDS = (
+    "secret_packets",
+    "public_packets",
+    "total_rows",
+    "efficiency",
+    "reliability",
+    "eve_missed",
+    "terminal_receptions",
+    "delivery_rates",
+    "hidden_dims",
+    "eve_equations",
+)
+
+REPLAY_ESTIMATORS = (
+    OracleEstimatorSpec(),
+    FixedFractionEstimatorSpec(fraction=0.6),
+    LeaveOneOutEstimatorSpec(rate_margin=0.05),
+    CollusionEstimatorSpec(k=2),
+    CombinedEstimatorSpec(
+        children=(
+            FixedFractionEstimatorSpec(fraction=0.5),
+            LeaveOneOutEstimatorSpec(rate_margin=0.05),
+        )
+    ),
+)
+
+
+def _replay_cells(n):
+    """Every loss law, Eve strength, estimator, slack and subset cap of
+    one group size (80 cells)."""
+    axes = itertools.product(
+        (IIDLossSpec(0.4), GilbertElliottLossSpec(0.1, 0.4, 0.8)),
+        (1, 3),
+        REPLAY_ESTIMATORS,
+        (0, 1),
+        (None, 2),
+    )
+    for loss, antennas, estimator, slack, cap in axes:
+        yield Scenario(
+            n_terminals=n,
+            loss=loss,
+            adversary=AdversarySpec(antennas=antennas),
+            estimator=estimator,
+            rounds=12,
+            n_x_packets=48,
+            secrecy_slack=slack,
+            max_subset_size=cap,
+        )
+
+
+def _results_digest(results):
+    h = hashlib.sha256()
+    for result in results:
+        for name in RESULT_FIELDS:
+            array = np.ascontiguousarray(getattr(result, name))
+            h.update(name.encode())
+            h.update(array.dtype.str.encode())
+            h.update(repr(array.shape).encode())
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+# Recorded from the numpy-array accounting path the engine ran before
+# it shared the stacked path's scalar kernel; any change to any array
+# of any cell (a row, a draw, an ulp of a rate) changes these digests.
+REPLAY_DIGESTS = {
+    3: "1b9cf84e83b16b60bf3ece73bc7d8f5290f56dd3c200c121faa9b73dc6fea7c5",
+    4: "096bb342aa5c1a2236b62e8d2dbbbb3c0886f824f946895995b35d2c1f51a901",
+    5: "57894acee38831906e9ee7e1f3b3c44b774e72612204226b88977a4a108a7635",
+    6: "2366af4d4801f72945343a9bbef0fad222fbc78777c94509a9500798e21427b6",
+}
+
+
+class TestExactReplay:
+    @pytest.mark.parametrize("n", sorted(REPLAY_DIGESTS))
+    def test_batch_results_unchanged(self, n):
+        results = [
+            BatchedRoundEngine(cell, seed=index).run()
+            for index, cell in enumerate(_replay_cells(n))
+        ]
+        assert _results_digest(results) == REPLAY_DIGESTS[n]
